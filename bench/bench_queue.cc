@@ -223,8 +223,7 @@ struct ShardedQueueFixture {
     DatabaseOptions options;
     options.dir = dir.path();
     options.wal_sync_policy = WalSyncPolicy::kOnCommit;
-    db = *Database::Open(std::move(options));
-    router = *ShardRouter::Open(db.get(), shards);
+    router = *ShardRouter::Open(options, shards, &db);
     for (int i = 0; i < 16; ++i) {
       const std::string name = "bench" + std::to_string(i);
       if (!router->CreateQueue(name).ok()) std::abort();
@@ -299,6 +298,31 @@ void BM_DequeueBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
 }
 BENCHMARK(BM_DequeueBatch)->Arg(1)->Arg(8)->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_DequeueStandingBacklog(benchmark::State& state) {
+  // A backlog of `range(0)` ready messages stays in place while one
+  // message at a time is dequeued and acked (and replaced, untimed).
+  // Dequeue cost must not grow with the backlog behind the head.
+  const size_t backlog = static_cast<size_t>(state.range(0));
+  QueueFixture fx;
+  EnqueueRequest request;
+  request.payload = "standing";
+  const std::vector<EnqueueRequest> fill(backlog, request);
+  if (!fx.queues->EnqueueBatch("bench", fill).ok()) std::abort();
+  DequeueRequest dq;
+  for (auto _ : state) {
+    auto message = fx.queues->Dequeue("bench", dq);
+    if (!message.ok() || !message->has_value()) std::abort();
+    state.PauseTiming();
+    if (!fx.queues->Ack("bench", "", (*message)->id).ok()) std::abort();
+    if (!fx.queues->Enqueue("bench", request).ok()) std::abort();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["backlog"] = static_cast<double>(backlog);
+}
+BENCHMARK(BM_DequeueStandingBacklog)->Arg(2000)->Arg(8000)->Arg(32000)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

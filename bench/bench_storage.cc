@@ -59,7 +59,7 @@ void BM_WalReadBack(benchmark::State& state) {
   }
   for (auto _ : state) {
     WalCursor cursor(dir.path() + "", 0);
-    WalEntry entry;
+    WalRecordView entry;
     int read = 0;
     while (*cursor.Next(&entry)) ++read;
     if (read != kRecords) std::abort();

@@ -18,21 +18,23 @@ Result<std::unique_ptr<EventProcessor>> EventProcessor::Open(
     EventProcessorOptions options) {
   auto processor =
       std::unique_ptr<EventProcessor>(new EventProcessor(std::move(options)));
+  if (processor->options_.shards < 0) {
+    return Status::InvalidArgument("shards must be >= 0");
+  }
   DatabaseOptions db_options;
   db_options.dir = processor->options_.data_dir;
   db_options.wal_sync_policy = processor->options_.wal_sync_policy;
   db_options.clock = processor->options_.clock;
-  EDADB_ASSIGN_OR_RETURN(processor->db_, Database::Open(db_options));
-  processor->clock_ = processor->db_->clock();
-  if (processor->options_.shards < 0) {
-    return Status::InvalidArgument("shards must be >= 0");
-  }
   const size_t shards =
       processor->options_.shards > 0
           ? static_cast<size_t>(processor->options_.shards)
           : std::max<size_t>(1, std::thread::hardware_concurrency());
-  EDADB_ASSIGN_OR_RETURN(processor->queues_,
-                         ShardRouter::Open(processor->db_.get(), shards));
+  // The router opens (and replays) the primary database together with
+  // the other shards, concurrently.
+  EDADB_ASSIGN_OR_RETURN(
+      processor->queues_,
+      ShardRouter::Open(db_options, shards, &processor->db_));
+  processor->clock_ = processor->db_->clock();
   EDADB_ASSIGN_OR_RETURN(
       processor->rules_,
       RulesEngine::Attach(processor->db_.get(),

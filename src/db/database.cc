@@ -66,20 +66,25 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   EDADB_RETURN_IF_ERROR(CreateDirIfMissing(options.dir));
   auto db = std::unique_ptr<Database>(new Database(std::move(options)));
 
+  // Replay before opening the writer: the replay reads the newest
+  // segment up to its last valid record, which is exactly where the
+  // writer resumes, so that segment is read once.
+  EDADB_RETURN_IF_ERROR(CreateDirIfMissing(db->wal_dir()));
+  EDADB_ASSIGN_OR_RETURN(const WalCursor replayed, db->Recover());
+
   WalOptions wal_options;
   wal_options.dir = db->wal_dir();
   wal_options.segment_size_bytes = db->options_.wal_segment_size_bytes;
   wal_options.sync_policy = db->options_.wal_sync_policy;
-  EDADB_ASSIGN_OR_RETURN(db->wal_, WalWriter::Open(std::move(wal_options)));
-
-  EDADB_RETURN_IF_ERROR(db->Recover());
+  EDADB_ASSIGN_OR_RETURN(db->wal_,
+                         WalWriter::Open(std::move(wal_options), &replayed));
   return db;
 }
 
 // ---------------------------------------------------------------------------
 // Recovery
 
-Status Database::Recover() {
+Result<WalCursor> Database::Recover() {
   recovering_ = true;
   Lsn replay_from = 0;
   const std::string meta_path = options_.dir + "/" + kCheckpointFileName;
@@ -90,9 +95,11 @@ Status Database::Recover() {
                                        meta.snapshot_file));
     replay_from = meta.replay_from_lsn;
   }
-  const Status s = ReplayWal(replay_from);
+  WalCursor cursor(wal_dir(), replay_from);
+  const Status s = ReplayWal(&cursor);
   recovering_ = false;
-  return s;
+  EDADB_RETURN_IF_ERROR(s);
+  return cursor;
 }
 
 Status Database::LoadSnapshot(const std::string& path) {
@@ -117,12 +124,11 @@ Status Database::LoadSnapshot(const std::string& path) {
   return Status::OK();
 }
 
-Status Database::ReplayWal(Lsn from_lsn) {
-  WalCursor cursor(wal_dir(), from_lsn);
+Status Database::ReplayWal(WalCursor* cursor) {
   std::map<TxnId, std::vector<LogRecord>> pending;
-  WalEntry entry;
+  WalRecordView entry;
   for (;;) {
-    EDADB_ASSIGN_OR_RETURN(bool more, cursor.Next(&entry));
+    EDADB_ASSIGN_OR_RETURN(bool more, cursor->Next(&entry));
     if (!more) break;
     EDADB_ASSIGN_OR_RETURN(LogRecord rec,
                            LogRecord::Decode(entry.type, entry.payload));
@@ -262,7 +268,7 @@ Status Database::DropTable(const std::string& name) {
   tables_.erase(it);
   // Drop triggers bound to the table.
   for (auto t = triggers_.begin(); t != triggers_.end();) {
-    if (t->second.table == name) {
+    if (t->second->table == name) {
       t = triggers_.erase(t);
     } else {
       ++t;
@@ -328,19 +334,21 @@ Status Database::CreateIndex(const std::string& table,
 
 Status Database::FireTriggers(TriggerTiming timing, TriggerEvent* event) {
   // Snapshot matching triggers under the lock, fire without it so
-  // actions may call back into this Database.
-  std::vector<const TriggerDef*> to_fire;
+  // actions may call back into this Database. The snapshot shares
+  // ownership: a concurrent DropTrigger/DropTable only unlinks a
+  // definition, which stays alive until this firing is done with it.
+  std::vector<std::shared_ptr<const TriggerDef>> to_fire;
   {
     std::shared_lock lock(mu_);
     for (const auto& [name, def] : triggers_) {
-      if (!def.enabled || def.timing != timing ||
-          def.table != event->table_name || (def.ops & event->op) == 0) {
+      if (!def->enabled || def->timing != timing ||
+          def->table != event->table_name || (def->ops & event->op) == 0) {
         continue;
       }
-      to_fire.push_back(&def);
+      to_fire.push_back(def);
     }
   }
-  for (const TriggerDef* def : to_fire) {
+  for (const std::shared_ptr<const TriggerDef>& def : to_fire) {
     if (def->when.has_value()) {
       TriggerRowView view(*event);
       auto matches = def->when->Matches(view);
@@ -821,7 +829,9 @@ Status Database::CreateTrigger(TriggerDef def) {
   if ((def.ops & (kDmlInsert | kDmlUpdate | kDmlDelete)) == 0) {
     return Status::InvalidArgument("trigger subscribes to no operations");
   }
-  triggers_.emplace(def.name, std::move(def));
+  std::string name = def.name;
+  triggers_.emplace(std::move(name),
+                    std::make_shared<TriggerDef>(std::move(def)));
   return Status::OK();
 }
 
@@ -839,7 +849,7 @@ Status Database::SetTriggerEnabled(const std::string& name, bool enabled) {
   if (it == triggers_.end()) {
     return Status::NotFound("trigger '" + name + "'");
   }
-  it->second.enabled = enabled;
+  it->second->enabled = enabled;
   return Status::OK();
 }
 

@@ -169,9 +169,12 @@ class Database {
                                   Record record);
   EDADB_NODISCARD Result<PendingOp> PrepareDelete(const std::string& table, RowId row_id);
 
-  EDADB_NODISCARD Status Recover();
+  /// Loads the checkpoint (if any) and replays the WAL after it into
+  /// memory. Returns the replay's cursor, caught up at the end of the
+  /// log, so the writer can resume there without re-reading it.
+  EDADB_NODISCARD Result<WalCursor> Recover();
   EDADB_NODISCARD Status LoadSnapshot(const std::string& path);
-  EDADB_NODISCARD Status ReplayWal(Lsn from_lsn);
+  EDADB_NODISCARD Status ReplayWal(WalCursor* cursor);
   EDADB_NODISCARD Status ApplyLogRecord(const LogRecord& rec);
 
   /// Fires matching triggers for `event`; BEFORE trigger errors abort
@@ -196,7 +199,10 @@ class Database {
   std::map<TableId, Table*> tables_by_id_;
   TableId next_table_id_ = 1;
   TxnId next_txn_id_ = 1;
-  std::map<std::string, TriggerDef> triggers_;
+  /// Shared so that FireTriggers, which runs actions outside `mu_`,
+  /// keeps a definition alive across a concurrent drop. Only `enabled`
+  /// changes after creation, and only under `mu_` held exclusively.
+  std::map<std::string, std::shared_ptr<TriggerDef>> triggers_;
   uint64_t checkpoint_seq_ = 0;
   bool recovering_ = false;
 };

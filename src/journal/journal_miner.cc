@@ -52,7 +52,7 @@ std::optional<ChangeEvent> JournalMiner::ToEvent(const LogRecord& rec,
 Result<size_t> JournalMiner::Poll(
     const std::function<void(const ChangeEvent&)>& callback) {
   size_t delivered = 0;
-  WalEntry entry;
+  WalRecordView entry;
   for (;;) {
     EDADB_ASSIGN_OR_RETURN(bool more, cursor_.Next(&entry));
     if (!more) break;

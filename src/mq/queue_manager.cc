@@ -780,10 +780,19 @@ Result<std::vector<Message>> QueueManager::DequeueBatch(
   Promote(&state, &rt, steady_now);
   if (max_messages == 0) return out;
 
-  // Snapshot the ready order; dead-lettering below mutates the set.
-  std::vector<std::pair<int64_t, MessageId>> candidates(rt.ready.begin(),
-                                                        rt.ready.end());
-  for (const auto& [neg_priority, id] : candidates) {
+  // Walk the ready order in place, O(log n) per step. Dead-lettering
+  // below erases entries (and a queue that is its own dead-letter queue
+  // gains new ones), so each step resumes after the last key instead of
+  // holding an iterator. New messages carry ids above every id present
+  // now; skipping them keeps the walk to the set as it was on entry.
+  const MessageId newest_id =
+      state.messages.empty() ? 0 : state.messages.rbegin()->first;
+  std::pair<int64_t, MessageId> key;
+  for (auto ready_it = rt.ready.begin(); ready_it != rt.ready.end();
+       ready_it = rt.ready.upper_bound(key)) {
+    key = *ready_it;
+    const auto [neg_priority, id] = key;
+    if (id > newest_id) continue;
     auto meta_it = state.messages.find(id);
     if (meta_it == state.messages.end()) {
       rt.ready.erase({neg_priority, id});

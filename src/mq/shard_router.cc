@@ -1,6 +1,10 @@
 #include "mq/shard_router.h"
 
 #include <cstdlib>
+#include <exception>
+#include <set>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include "common/crc32.h"
@@ -15,28 +19,40 @@ namespace {
 /// the tag range (or any sane machine) are configuration errors.
 constexpr size_t kMaxShards = 4096;
 
+/// Shard i > 0 lives under the primary's directory, with its own WAL
+/// stream.
+DatabaseOptions SecondaryOptions(const DatabaseOptions& base, size_t i) {
+  DatabaseOptions options;
+  options.dir = base.dir + "/shard-" + std::to_string(i);
+  options.wal_dir = base.dir + "/wal/shard-" + std::to_string(i);
+  options.wal_sync_policy = base.wal_sync_policy;
+  options.wal_segment_size_bytes = base.wal_segment_size_bytes;
+  options.clock = base.clock;
+  return options;
+}
+
 }  // namespace
 
 ShardRouter::ShardRouter(Database* primary) : primary_(primary) {}
 
 ShardRouter::~ShardRouter() = default;
 
-Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(Database* primary,
-                                                       size_t shards) {
+Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(
+    const DatabaseOptions& base, size_t shards,
+    std::unique_ptr<Database>* primary) {
   if (primary == nullptr) {
-    return Status::InvalidArgument("ShardRouter needs a primary database");
+    return Status::InvalidArgument("ShardRouter needs a primary out-param");
   }
   if (shards == 0 || shards > kMaxShards) {
     return Status::InvalidArgument("shard count must be in [1, " +
                                    std::to_string(kMaxShards) + "], got " +
                                    std::to_string(shards));
   }
-  auto router = std::unique_ptr<ShardRouter>(new ShardRouter(primary));
-  const DatabaseOptions& base = primary->options();
   // Never strand data: if the directory holds more shards than were
   // requested (the deployment was reconfigured downward), open them
   // all — their queues stay reachable, only placement of NEW queues
   // uses the requested count via hashing over every open shard.
+  std::set<size_t> on_disk;  // Secondary shards that exist already.
   if (auto existing = ListDir(base.dir); existing.ok()) {
     for (const std::string& name : *existing) {
       size_t index = 0;
@@ -44,8 +60,9 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(Database* primary,
         const char* digits = name.c_str() + 6;
         char* end = nullptr;
         index = std::strtoull(digits, &end, 10);
-        if (end != digits && *end == '\0' && index + 1 > shards) {
-          shards = index + 1;
+        if (end != digits && *end == '\0') {
+          on_disk.insert(index);
+          if (index + 1 > shards) shards = index + 1;
         }
       }
     }
@@ -54,29 +71,70 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(Database* primary,
     return Status::InvalidArgument("directory holds shard ordinals beyond " +
                                    std::to_string(kMaxShards));
   }
-  router->shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    Shard shard;
-    if (i == 0) {
-      shard.db = primary;
-    } else {
-      // Each secondary shard is a full database with its own WAL
-      // stream under the primary's directory; recovery at Open replays
-      // that stream independently of every other shard.
-      DatabaseOptions options;
-      options.dir = base.dir + "/shard-" + std::to_string(i);
-      options.wal_dir = base.dir + "/wal/shard-" + std::to_string(i);
-      options.wal_sync_policy = base.wal_sync_policy;
-      options.wal_segment_size_bytes = base.wal_segment_size_bytes;
-      options.clock = base.clock;
-      EDADB_ASSIGN_OR_RETURN(shard.owned_db,
-                             Database::Open(std::move(options)));
+
+  // Each shard is a full database with its own WAL stream under the
+  // primary's directory, so the shards recover independently: each one
+  // that exists on disk is opened, replayed and attached on its own
+  // thread. A shard created now has nothing to replay and opens on the
+  // calling thread, so setting up a new directory starts no thread.
+  // `opened` owns every database until the router does, so an early
+  // return closes them all.
+  std::vector<Shard> opened(shards);
+  std::vector<Status> statuses(shards);
+  std::vector<std::exception_ptr> thrown(shards);
+  const auto open_shard = [&](size_t i) {
+    try {
+      Shard& shard = opened[i];
+      auto db = Database::Open(i == 0 ? base : SecondaryOptions(base, i));
+      if (!db.ok()) {
+        statuses[i] = std::move(db).status();
+        return;
+      }
+      shard.owned_db = *std::move(db);
       shard.db = shard.owned_db.get();
+      auto queues = QueueManager::Attach(shard.db, /*shard=*/i);
+      if (!queues.ok()) {
+        statuses[i] = std::move(queues).status();
+        return;
+      }
+      shard.queues = *std::move(queues);
+    } catch (...) {
+      // Rethrown on the caller's thread (a failpoint crash handler may
+      // throw); an exception must not escape a std::thread.
+      thrown[i] = std::current_exception();
     }
-    EDADB_ASSIGN_OR_RETURN(shard.queues,
-                           QueueManager::Attach(shard.db, /*shard=*/i));
-    router->shards_.push_back(std::move(shard));
+  };
+  // Reserved up front so that emplace_back never reallocates: the only
+  // way it can throw is a thread that could not be started, and that
+  // shard then opens on the calling thread instead. No joinable thread
+  // is ever destroyed.
+  std::vector<std::thread> threads;
+  threads.reserve(on_disk.size());
+  for (size_t i = 1; i < shards; ++i) {
+    if (on_disk.count(i) == 0) continue;
+    try {
+      threads.emplace_back(open_shard, i);
+    } catch (const std::system_error&) {
+      open_shard(i);
+    }
   }
+  open_shard(0);
+  for (size_t i = 1; i < shards; ++i) {
+    if (on_disk.count(i) == 0) open_shard(i);
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t i = 0; i < shards; ++i) {
+    if (thrown[i] != nullptr) std::rethrow_exception(thrown[i]);
+  }
+  Status first_error;
+  for (Status& status : statuses) {
+    if (!status.ok() && first_error.ok()) first_error = std::move(status);
+  }
+  EDADB_RETURN_IF_ERROR(first_error);
+
+  auto router = std::unique_ptr<ShardRouter>(new ShardRouter(opened[0].db));
+  *primary = std::move(opened[0].owned_db);
+  router->shards_ = std::move(opened);
   // Placement is authoritative in each shard's own catalog: reattach
   // keeps every existing queue on its shard even when the shard count
   // changed since it was created.

@@ -43,13 +43,21 @@ namespace edadb {
 /// Recovery: each shard's Database::Open replays its own WAL stream
 /// independently — there is no cross-shard ordering to restore, because
 /// the only cross-shard flow (propagation handoff) is at-least-once
-/// with an idempotence ledger on the receiving shard (EnqueueDedup).
+/// with an idempotence ledger on the receiving shard (EnqueueDedup) —
+/// so Open opens and replays the shards concurrently: each secondary
+/// shard already on disk on its own thread, shard 0 and shards created
+/// now on the caller's; all are joined before it returns.
 class ShardRouter : public QueueService {
  public:
-  /// `primary` must outlive the router and becomes shard 0; `shards`
-  /// further databases are opened (or recovered) under its directory.
+  /// Opens (or recovers) the primary database from `base` as shard 0
+  /// and the other `shards` - 1 databases under its directory,
+  /// concurrently, and hands the primary to `*primary`, which must
+  /// outlive the router. On error every database opened here is
+  /// closed again and the lowest-numbered failing shard's status is
+  /// returned.
   EDADB_NODISCARD static Result<std::unique_ptr<ShardRouter>> Open(
-      Database* primary, size_t shards);
+      const DatabaseOptions& base, size_t shards,
+      std::unique_ptr<Database>* primary);
 
   ~ShardRouter() override;
 
@@ -132,7 +140,8 @@ class ShardRouter : public QueueService {
   explicit ShardRouter(Database* primary);
 
   /// One delivery shard: database (WAL + commit pipeline) + queue
-  /// manager (lock + wait/wake domain). Shard 0 borrows the primary.
+  /// manager (lock + wait/wake domain). Shard 0's database is the
+  /// primary, owned by the caller of Open.
   struct Shard {
     std::unique_ptr<Database> owned_db;  // null for shard 0
     Database* db = nullptr;

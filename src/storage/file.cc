@@ -118,9 +118,16 @@ RandomAccessFile::~RandomAccessFile() {
 Status RandomAccessFile::Read(uint64_t offset, size_t n,
                               std::string* out) const {
   out->resize(n);
+  EDADB_ASSIGN_OR_RETURN(const size_t done, ReadAt(offset, out->data(), n));
+  out->resize(done);
+  return Status::OK();
+}
+
+Result<size_t> RandomAccessFile::ReadAt(uint64_t offset, char* dst,
+                                        size_t n) const {
   size_t done = 0;
   while (done < n) {
-    const ssize_t r = ::pread(fd_, out->data() + done, n - done,
+    const ssize_t r = ::pread(fd_, dst + done, n - done,
                               static_cast<off_t>(offset + done));
     if (r < 0) {
       if (errno == EINTR) continue;
@@ -129,8 +136,7 @@ Status RandomAccessFile::Read(uint64_t offset, size_t n,
     if (r == 0) break;  // EOF.
     done += static_cast<size_t>(r);
   }
-  out->resize(done);
-  return Status::OK();
+  return done;
 }
 
 Result<uint64_t> RandomAccessFile::Size() const {

@@ -63,6 +63,11 @@ class RandomAccessFile {
   /// actually read; short reads at EOF are not errors).
   EDADB_NODISCARD Status Read(uint64_t offset, size_t n, std::string* out) const;
 
+  /// Reads up to `n` bytes at `offset` into `dst`, which must have room
+  /// for them; returns the count read (fewer only at EOF).
+  EDADB_NODISCARD Result<size_t> ReadAt(uint64_t offset, char* dst,
+                                        size_t n) const;
+
   /// Current file size (re-stat'ed, so it observes concurrent appends).
   EDADB_NODISCARD Result<uint64_t> Size() const;
 

@@ -7,6 +7,7 @@
 #include "common/coding.h"
 #include "common/crc32.h"
 #include "common/failpoint.h"
+#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace edadb {
@@ -58,27 +59,6 @@ std::string FrameRecord(uint8_t type, std::string_view payload) {
   return frame;
 }
 
-enum class ParseResult { kOk, kIncomplete, kCorrupt };
-
-/// Parses one framed record from `data` at `offset`.
-ParseResult ParseRecord(std::string_view data, size_t offset, uint8_t* type,
-                        std::string* payload, size_t* record_size) {
-  if (offset + kWalHeaderSize > data.size()) return ParseResult::kIncomplete;
-  std::string_view header = data.substr(offset, kWalHeaderSize);
-  uint32_t stored_crc, len;
-  GetFixed32(&header, &stored_crc);
-  GetFixed32(&header, &len);
-  if (offset + kWalHeaderSize + len > data.size()) {
-    return ParseResult::kIncomplete;
-  }
-  const std::string_view body = data.substr(offset + 8, 1 + len);
-  if (MaskCrc(Crc32c(body)) != stored_crc) return ParseResult::kCorrupt;
-  *type = static_cast<uint8_t>(body[0]);
-  payload->assign(body.substr(1));
-  *record_size = kWalHeaderSize + len;
-  return ParseResult::kOk;
-}
-
 }  // namespace
 
 Lsn ParseWalSegmentName(std::string_view name) {
@@ -100,7 +80,8 @@ std::string WalSegmentName(Lsn start_lsn) {
 // ---------------------------------------------------------------------------
 // WalWriter
 
-Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalOptions options) {
+Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalOptions options,
+                                                   const WalCursor* replayed) {
   EDADB_RETURN_IF_ERROR(CreateDirIfMissing(options.dir));
   auto writer = std::unique_ptr<WalWriter>(new WalWriter(std::move(options)));
 
@@ -119,48 +100,81 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalOptions options) {
 
   EDADB_ASSIGN_OR_RETURN(std::vector<std::string> names,
                          ListDir(writer->options_.dir));
-  Lsn last_start = kInvalidLsn;
+  std::vector<Lsn> starts;
   for (const std::string& name : names) {
     const Lsn start = ParseWalSegmentName(name);
-    if (start == kInvalidLsn) continue;
-    if (last_start == kInvalidLsn || start > last_start) last_start = start;
+    if (start != kInvalidLsn) starts.push_back(start);
   }
+  std::sort(starts.begin(), starts.end());
 
   // Open is single-threaded (no concurrent appender can exist yet); the
   // locks are taken only to satisfy the guarded-member annotations.
-  if (last_start == kInvalidLsn) {
+  if (starts.empty()) {
     MutexLock lock(&writer->wal_mu_);
     EDADB_RETURN_IF_ERROR(writer->OpenNewSegment(0));
     return writer;
   }
+  Lsn last_start = starts.back();
 
-  // Validate the newest segment and truncate any torn tail.
+  // Find where the log's valid records end: from the replay when it
+  // began at or before the newest segment, else by scanning that
+  // segment here.
+  Lsn valid_end = kInvalidLsn;
+  if (replayed != nullptr && replayed->start_lsn() <= last_start) {
+    valid_end = replayed->position();
+    if (valid_end < last_start) {
+      // The replay stopped inside an older segment: it is shorter than
+      // the LSN where the next segment starts, or ends in a torn record.
+      // That happens when a closing segment never reached stable media
+      // (kNever does not sync at a roll) before the machine went down.
+      // No replay can get past that point, so the log is cut there:
+      // every later segment is deleted, newest first, and appending
+      // resumes at the replay's end. The log stays the prefix recovery
+      // applied, and no new record lands behind the gap.
+      const auto after =
+          std::upper_bound(starts.begin(), starts.end(), valid_end);
+      if (after == starts.begin()) {
+        return Status::Corruption(
+            StringPrintf("WAL replay stopped at lsn %" PRIu64
+                         ", before the first segment",
+                         valid_end));
+      }
+      EDADB_LOG(Warn) << "WAL in " << writer->options_.dir
+                      << " ends at lsn " << valid_end
+                      << " inside an older segment; dropping "
+                      << (starts.end() - after) << " later segment(s)";
+      for (auto it = starts.end(); it != after;) {
+        --it;
+        EDADB_RETURN_IF_ERROR(RemoveFile(writer->options_.dir + "/" +
+                                         WalSegmentName(*it)));
+      }
+      last_start = *std::prev(after);
+    }
+  } else {
+    WalCursor scan(writer->options_.dir, last_start);
+    WalRecordView record;
+    for (;;) {
+      EDADB_ASSIGN_OR_RETURN(const bool more, scan.Next(&record));
+      if (!more) break;
+    }
+    valid_end = scan.position();
+  }
+  const uint64_t valid = valid_end - last_start;
   const std::string path =
       writer->options_.dir + "/" + WalSegmentName(last_start);
-  EDADB_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
-  size_t valid = 0;
-  while (valid < data.size()) {
-    uint8_t type;
-    std::string payload;
-    size_t record_size;
-    const ParseResult pr =
-        ParseRecord(data, valid, &type, &payload, &record_size);
-    if (pr != ParseResult::kOk) break;
-    valid += record_size;
-  }
   {
     MutexLock lock(&writer->wal_mu_);
     EDADB_ASSIGN_OR_RETURN(writer->current_, WritableFile::Open(path));
-    if (valid < data.size()) {
+    if (valid < writer->current_->size()) {
       EDADB_RETURN_IF_ERROR(writer->current_->Truncate(valid));
     }
     writer->current_segment_start_ = last_start;
-    writer->next_lsn_.store(last_start + valid, std::memory_order_release);
+    writer->next_lsn_.store(valid_end, std::memory_order_release);
   }
   {
     // Everything that survived recovery is on stable media.
     MutexLock lock(&writer->sync_mu_);
-    writer->durable_lsn_ = last_start + valid;
+    writer->durable_lsn_ = valid_end;
   }
   return writer;
 }
@@ -168,7 +182,13 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalOptions options) {
 Status WalWriter::OpenNewSegment(Lsn start_lsn) {
   FAILPOINT("wal.roll");
   if (current_ != nullptr) {
-    EDADB_RETURN_IF_ERROR(current_->Sync());
+    // A closing segment is made durable only when the policy promises
+    // durability; under kNever its bytes stay in the page cache like
+    // every other append.
+    if (options_.sync_policy != WalSyncPolicy::kNever) {
+      metrics::LatencyScope sync_latency(SyncLatency());
+      EDADB_RETURN_IF_ERROR(current_->Sync());
+    }
     EDADB_RETURN_IF_ERROR(current_->Close());
   }
   const std::string path = options_.dir + "/" + WalSegmentName(start_lsn);
@@ -382,7 +402,7 @@ Status WalWriter::TruncateBefore(Lsn lsn) {
 // WalCursor
 
 WalCursor::WalCursor(std::string dir, Lsn start_lsn)
-    : dir_(std::move(dir)), lsn_(start_lsn) {}
+    : dir_(std::move(dir)), start_lsn_(start_lsn), lsn_(start_lsn) {}
 
 Status WalCursor::RefreshSegments() {
   EDADB_ASSIGN_OR_RETURN(std::vector<std::string> names, ListDir(dir_));
@@ -418,44 +438,93 @@ Result<bool> WalCursor::PositionFile() {
   if (file_ == nullptr || file_start_ != it->first) {
     EDADB_ASSIGN_OR_RETURN(file_, RandomAccessFile::Open(it->second));
     file_start_ = it->first;
+    DropWindow();
   }
   return true;
 }
 
-Result<bool> WalCursor::Next(WalEntry* out) {
+Result<size_t> WalCursor::Fill(size_t n) {
+  size_t have = window_end_ - window_pos_;
+  if (have >= n) return have;
+  EDADB_ASSIGN_OR_RETURN(const uint64_t size, file_->Size());
+  uint64_t read_at = (lsn_ - file_start_) + have;
+  if (size < read_at) {
+    // The segment shrank under the window (a writer reopened and cut a
+    // torn tail): what the window holds past lsn_ is stale.
+    DropWindow();
+    have = 0;
+    read_at = lsn_ - file_start_;
+  }
+  if (size <= read_at) return have;
+  // Size the window to what is left in the segment, up to
+  // kWalReadAheadBytes, growing geometrically so a tailing cursor does
+  // not reallocate on every poll.
+  const size_t wanted = static_cast<size_t>(
+      std::min<uint64_t>(kWalReadAheadBytes, have + (size - read_at)));
+  if (wanted > window_capacity_) {
+    const size_t capacity =
+        std::min(kWalReadAheadBytes, std::max(wanted, 2 * window_capacity_));
+    auto grown = std::make_unique_for_overwrite<char[]>(capacity);
+    if (have > 0) std::memcpy(grown.get(), window_.get() + window_pos_, have);
+    window_ = std::move(grown);
+    window_capacity_ = capacity;
+  } else if (window_pos_ > 0 && have > 0) {
+    std::memmove(window_.get(), window_.get() + window_pos_, have);
+  }
+  window_pos_ = 0;
+  window_end_ = have;
+  const size_t room = static_cast<size_t>(
+      std::min<uint64_t>(window_capacity_ - have, size - read_at));
+  EDADB_ASSIGN_OR_RETURN(const size_t got,
+                         file_->ReadAt(read_at, window_.get() + have, room));
+  window_end_ += got;
+  return window_end_;
+}
+
+Result<bool> WalCursor::Next(WalRecordView* out) {
   for (;;) {
     EDADB_ASSIGN_OR_RETURN(bool positioned, PositionFile());
     if (!positioned) return false;
 
-    const uint64_t offset = lsn_ - file_start_;
-    std::string header;
-    EDADB_RETURN_IF_ERROR(file_->Read(offset, kWalHeaderSize, &header));
-    if (header.size() < kWalHeaderSize) {
-      // At (or past) the end of this segment. If a following segment
-      // starts exactly at the segment's end and we've consumed this one
-      // fully, roll forward; otherwise we are caught up.
-      EDADB_RETURN_IF_ERROR(RefreshSegments());
-      auto next = segments_.upper_bound(file_start_);
-      if (next != segments_.end() && header.empty() && lsn_ == next->first) {
+    EDADB_ASSIGN_OR_RETURN(const size_t header_bytes, Fill(kWalHeaderSize));
+    if (header_bytes < kWalHeaderSize) {
+      // At (or past) the end of this segment. Roll forward only to a
+      // segment that starts exactly where this one ends — the writer
+      // creates it after the closing segment's last byte has landed —
+      // otherwise we are caught up.
+      if (header_bytes == 0 && lsn_ != file_start_ &&
+          FileExists(dir_ + "/" + WalSegmentName(lsn_))) {
         file_.reset();
         file_start_ = kInvalidLsn;
+        DropWindow();
         continue;
       }
       return false;
     }
-    std::string_view hv = header;
+    std::string_view header(window_.get() + window_pos_, kWalHeaderSize);
     uint32_t stored_crc, len;
-    GetFixed32(&hv, &stored_crc);
-    GetFixed32(&hv, &len);
-    std::string body;
-    EDADB_RETURN_IF_ERROR(file_->Read(offset + 8, 1 + len, &body));
-    if (body.size() < 1 + len) {
+    GetFixed32(&header, &stored_crc);
+    GetFixed32(&header, &len);
+    const uint64_t record_size = kWalHeaderSize + static_cast<uint64_t>(len);
+    std::string_view body;
+    const bool in_window = record_size <= kWalReadAheadBytes;
+    if (in_window) {
+      EDADB_ASSIGN_OR_RETURN(const size_t have, Fill(record_size));
       // Record still being appended by the writer.
-      return false;
+      if (have < record_size) return false;
+      body = std::string_view(window_.get() + window_pos_ + 8, 1 + len);
+    } else {
+      const uint64_t offset = lsn_ - file_start_;
+      EDADB_ASSIGN_OR_RETURN(const uint64_t size, file_->Size());
+      if (offset + record_size > size) return false;
+      EDADB_RETURN_IF_ERROR(file_->Read(offset + 8, 1 + len, &large_body_));
+      if (large_body_.size() < 1 + len) return false;
+      body = large_body_;
     }
     if (MaskCrc(Crc32c(body)) != stored_crc) {
-      // Torn tail of the live segment is retried later; anything else is
-      // real corruption.
+      // Torn tail of the live segment is retried later (re-read from the
+      // file, not the window); anything else is real corruption.
+      DropWindow();
       EDADB_RETURN_IF_ERROR(RefreshSegments());
       const bool is_last_segment =
           !segments_.empty() && file_start_ == segments_.rbegin()->first;
@@ -466,7 +535,12 @@ Result<bool> WalCursor::Next(WalEntry* out) {
     out->lsn = lsn_;
     out->type = static_cast<uint8_t>(body[0]);
     out->payload = body.substr(1);
-    lsn_ += kWalHeaderSize + len;
+    lsn_ += record_size;
+    if (in_window) {
+      window_pos_ += record_size;
+    } else {
+      DropWindow();
+    }
     return true;
   }
 }

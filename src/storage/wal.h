@@ -29,7 +29,9 @@ constexpr Lsn kInvalidLsn = UINT64_MAX;
 /// characteristics: recoverability, availability, transactional support"
 /// trade against throughput here; bench_storage (E3) measures it.
 enum class WalSyncPolicy {
-  kNever,        // OS page cache only; fastest, loses tail on crash.
+  kNever,        // OS page cache only; fastest, loses tail on crash
+                 // (a machine crash may also cut a closed segment short;
+                 // recovery keeps the log up to the cut).
   kOnCommit,     // fdatasync on every commit barrier (Sync() call).
   kEveryAppend,  // fdatasync on every record; slowest, strongest.
 };
@@ -38,13 +40,6 @@ struct WalOptions {
   std::string dir;
   uint64_t segment_size_bytes = 16 * 1024 * 1024;
   WalSyncPolicy sync_policy = WalSyncPolicy::kOnCommit;
-};
-
-/// One decoded WAL record.
-struct WalEntry {
-  Lsn lsn = kInvalidLsn;
-  uint8_t type = 0;
-  std::string payload;
 };
 
 /// One record to append, by reference. The payload must stay alive for
@@ -62,9 +57,11 @@ struct WalBatchResult {
   Lsn end_lsn = kInvalidLsn;
 };
 
-/// Appender. On open it scans the newest segment, drops any torn tail
-/// (CRC or length mismatch) and resumes appending after the last valid
-/// record.
+class WalCursor;
+
+/// Appender. On open it finds the end of the newest segment's last valid
+/// record, drops any torn tail (CRC or length mismatch) after it and
+/// resumes appending there.
 ///
 /// Thread-safe: appends serialize on wal_mu_; durability requests go
 /// through a leader/follower group-commit protocol on sync_mu_ — the
@@ -73,7 +70,17 @@ struct WalBatchResult {
 /// pay ~1 fdatasync instead of N (DESIGN.md §10).
 class WalWriter {
  public:
-  EDADB_NODISCARD static Result<std::unique_ptr<WalWriter>> Open(WalOptions options);
+  /// `replayed`, if given, is a cursor over options.dir that has been
+  /// read until it caught up (recovery's replay). When it began at or
+  /// before the newest segment, its position is the end of the log's
+  /// valid records, so Open resumes there without reading the segment
+  /// again. If that end lies in an older segment (one cut short by a
+  /// crash, see kNever), Open deletes every later segment so that new
+  /// records follow what the replay applied. Without `replayed`, or when
+  /// it began past the newest segment's start, Open scans that segment
+  /// itself.
+  EDADB_NODISCARD static Result<std::unique_ptr<WalWriter>> Open(
+      WalOptions options, const WalCursor* replayed = nullptr);
 
   /// Appends one record, returns its LSN. Thin wrapper over a
   /// one-record AppendBatch (single code path).
@@ -144,23 +151,45 @@ class WalWriter {
   metrics::CallbackHandle metrics_collector_;
 };
 
+/// One decoded WAL record, borrowed from the cursor that produced it:
+/// `payload` points into the cursor's read-ahead window and stays valid
+/// only until the next call on that cursor.
+struct WalRecordView {
+  Lsn lsn = kInvalidLsn;
+  uint8_t type = 0;
+  std::string_view payload;
+};
+
+/// Read-ahead window of a WalCursor.
+constexpr size_t kWalReadAheadBytes = 1024 * 1024;
+
 /// Forward cursor over the log, usable while a writer appends (the
 /// journal miner tails the live WAL with one of these). Next() returns
 /// false when it has caught up with the durable end of the log; call it
 /// again later to see newer records.
+///
+/// Reads are sequential: each segment is read in chunks of up to
+/// kWalReadAheadBytes into one reused window, and records are parsed and
+/// CRC-checked in place. A chunk never reads past the segment's current
+/// size, the window is sized to what the segment holds (no allocation for
+/// an empty log), and at the live tail only bytes not yet in the window
+/// are read again. A record larger than the window is read on its own.
 class WalCursor {
  public:
   /// `start_lsn` = where to begin (0 for the whole log, or a saved
   /// watermark).
   WalCursor(std::string dir, Lsn start_lsn);
 
-  /// Reads the next record into `out`. Returns true on success, false
-  /// when caught up. Corruption mid-log is an error; an incomplete
-  /// record at the very tail is treated as "caught up" (it is still
-  /// being written).
-  EDADB_NODISCARD Result<bool> Next(WalEntry* out);
+  /// Reads the next record into `out` (see WalRecordView for how long
+  /// its payload stays valid). Returns true on success, false when
+  /// caught up. Corruption mid-log is an error; an incomplete record at
+  /// the very tail is treated as "caught up" (it is still being
+  /// written), and so is a CRC mismatch in the newest segment (a torn
+  /// tail, which WalWriter::Open truncates).
+  EDADB_NODISCARD Result<bool> Next(WalRecordView* out);
 
   Lsn position() const { return lsn_; }
+  Lsn start_lsn() const { return start_lsn_; }
 
  private:
   /// Re-scans the directory for segment files.
@@ -170,11 +199,30 @@ class WalCursor {
   /// such segment exists yet.
   EDADB_NODISCARD Result<bool> PositionFile();
 
+  /// Makes at least `n` (<= kWalReadAheadBytes) bytes from lsn_
+  /// available in the window, reading ahead as far as the window and the
+  /// segment allow. Returns the bytes available, fewer than `n` at the end of
+  /// the segment.
+  EDADB_NODISCARD Result<size_t> Fill(size_t n);
+
+  /// Forgets the window's contents (keeps its memory).
+  void DropWindow() { window_pos_ = window_end_ = 0; }
+
   std::string dir_;
+  Lsn start_lsn_;
   Lsn lsn_;
   std::map<Lsn, std::string> segments_;  // start_lsn -> path
   std::unique_ptr<RandomAccessFile> file_;
   Lsn file_start_ = kInvalidLsn;
+
+  /// Read-ahead window over file_: window_[window_pos_, window_end_)
+  /// holds the segment's bytes from offset lsn_ - file_start_ on.
+  std::unique_ptr<char[]> window_;
+  size_t window_capacity_ = 0;
+  size_t window_pos_ = 0;
+  size_t window_end_ = 0;
+  /// Body of the last record too large for the window.
+  std::string large_body_;
 };
 
 /// Parses "wal-<start>.log"; returns kInvalidLsn for other names.

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "testing/crash_harness.h"
+#include "testing/require_failpoints.h"
 
 namespace fp = edadb::failpoint;
 using edadb::Result;
@@ -36,6 +37,7 @@ TEST(FailpointTest, UnarmedSiteIsANoop) {
 }
 
 TEST(FailpointTest, InjectedStatusBecomesReturnValue) {
+  EDADB_REQUIRE_FAILPOINTS();
   FailpointGuard guard;
   ArmError("test.op", Status::Corruption("boom"));
   const Status s = GuardedOp();
@@ -46,6 +48,7 @@ TEST(FailpointTest, InjectedStatusBecomesReturnValue) {
 }
 
 TEST(FailpointTest, InjectionWorksInResultReturningFunctions) {
+  EDADB_REQUIRE_FAILPOINTS();
   FailpointGuard guard;
   ArmError("test.value");
   const Result<int> r = GuardedValue();
@@ -55,6 +58,7 @@ TEST(FailpointTest, InjectionWorksInResultReturningFunctions) {
 }
 
 TEST(FailpointTest, SkipDelaysFirstFires) {
+  EDADB_REQUIRE_FAILPOINTS();
   FailpointGuard guard;
   ArmError("test.op", Status::IOError("late"), /*skip=*/2);
   EXPECT_TRUE(GuardedOp().ok());
@@ -64,6 +68,7 @@ TEST(FailpointTest, SkipDelaysFirstFires) {
 }
 
 TEST(FailpointTest, MaxFiresBoundsInjections) {
+  EDADB_REQUIRE_FAILPOINTS();
   FailpointGuard guard;
   ArmError("test.op", Status::IOError("x"), /*skip=*/0, /*max_fires=*/3);
   int failures = 0;
@@ -74,6 +79,7 @@ TEST(FailpointTest, MaxFiresBoundsInjections) {
 }
 
 TEST(FailpointTest, ProbabilityIsDeterministicUnderSeed) {
+  EDADB_REQUIRE_FAILPOINTS();
   FailpointGuard guard;
   const auto run = [] {
     fp::SetSeed(12345);
@@ -96,6 +102,7 @@ TEST(FailpointTest, ProbabilityIsDeterministicUnderSeed) {
 }
 
 TEST(FailpointTest, CrashInvokesHandler) {
+  EDADB_REQUIRE_FAILPOINTS();
   FailpointGuard guard;
   ArmCrash("test.op");
   bool crashed = false;
@@ -110,6 +117,7 @@ TEST(FailpointTest, CrashInvokesHandler) {
 }
 
 TEST(FailpointTest, DelayFiresWithoutFailing) {
+  EDADB_REQUIRE_FAILPOINTS();
   FailpointGuard guard;
   fp::Action action;
   action.kind = fp::ActionKind::kDelay;
@@ -120,6 +128,7 @@ TEST(FailpointTest, DelayFiresWithoutFailing) {
 }
 
 TEST(FailpointTest, HitCountsTrackSitesWhileAnythingIsArmed) {
+  EDADB_REQUIRE_FAILPOINTS();
   FailpointGuard guard;
   // Arming an unrelated site still counts hits on this one, which is
   // how the torture harness validates its site list against reality.
@@ -141,6 +150,7 @@ TEST(FailpointTest, DisarmAllRestoresTheFastPath) {
 }
 
 TEST(FailpointTest, RearmingReplacesActionAndResetsCounters) {
+  EDADB_REQUIRE_FAILPOINTS();
   FailpointGuard guard;
   ArmError("test.op", Status::IOError("a"), /*skip=*/5);
   EXPECT_TRUE(GuardedOp().ok());

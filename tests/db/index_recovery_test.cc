@@ -13,6 +13,7 @@
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "testing/crash_harness.h"
+#include "testing/require_failpoints.h"
 
 namespace fp = edadb::failpoint;
 using edadb::Database;
@@ -95,10 +96,12 @@ void RunCreateIndexFailure(const char* failed_site) {
 }
 
 TEST(IndexRecoveryTest, CreateIndexRollsBackWhenWalAppendFails) {
+  EDADB_REQUIRE_FAILPOINTS();
   RunCreateIndexFailure("wal.append.before");
 }
 
 TEST(IndexRecoveryTest, CreateIndexRollsBackWhenWalSyncFails) {
+  EDADB_REQUIRE_FAILPOINTS();
   RunCreateIndexFailure("wal.sync");
 }
 

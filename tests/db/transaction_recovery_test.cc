@@ -1,7 +1,13 @@
 #include "db/database.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "db/snapshot.h"
 #include "gtest/gtest.h"
+#include "storage/file.h"
+#include "storage/wal.h"
 #include "test_util.h"
 
 namespace edadb {
@@ -150,6 +156,53 @@ TEST(RecoveryTest, DroppedTableStaysDropped) {
   }
   auto db = *Database::Open(Opts(dir.path()));
   EXPECT_TRUE(db->GetTable("accounts").status().IsNotFound());
+}
+
+// A machine crash under kNever can leave a closed WAL segment shorter
+// than where the next segment starts (the roll does not sync it).
+// Recovery keeps the prefix before the cut, and a commit made after that
+// reopen must survive the next one instead of landing behind the gap.
+TEST(RecoveryTest, ShortOlderWalSegmentKeepsLaterCommits) {
+  TempDir dir;
+  DatabaseOptions options = Opts(dir.path());
+  options.wal_segment_size_bytes = 1024;
+  {
+    auto db = *Database::Open(options);
+    ASSERT_TRUE(db->CreateTable("accounts", AccountsSchema()).ok());
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_OK(
+          db->Insert("accounts", Account("early" + std::to_string(i), i))
+              .status());
+    }
+  }
+  const std::string wal = dir.path() + "/wal";
+  std::vector<Lsn> starts;
+  const std::vector<std::string> names = *ListDir(wal);
+  for (const std::string& name : names) {
+    const Lsn start = ParseWalSegmentName(name);
+    if (start != kInvalidLsn) starts.push_back(start);
+  }
+  std::sort(starts.begin(), starts.end());
+  ASSERT_GE(starts.size(), 3u);
+  const std::string second = wal + "/" + WalSegmentName(starts[1]);
+  const std::string bytes = *ReadFileToString(second);
+  ASSERT_OK(WriteStringToFile(second, bytes.substr(0, bytes.size() / 2),
+                              /*sync=*/false));
+
+  size_t survivors = 0;
+  {
+    auto db = *Database::Open(options);
+    survivors = *db->CountRows("accounts");
+    EXPECT_GT(survivors, 0u);
+    EXPECT_LT(survivors, 100u);
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_OK(
+          db->Insert("accounts", Account("late" + std::to_string(i), i))
+              .status());
+    }
+  }
+  auto db = *Database::Open(options);
+  EXPECT_EQ(*db->CountRows("accounts"), survivors + 10);
 }
 
 TEST(RecoveryTest, CheckpointThenReplayTail) {

@@ -1,3 +1,4 @@
+#include <string>
 #include <vector>
 
 #include "db/database.h"
@@ -227,6 +228,30 @@ TEST_F(TriggerTest, TriggerActionsCanCallBackIntoDatabase) {
   ASSERT_OK(db_->Insert("readings", Reading("s", 1)).status());
   ASSERT_OK(db_->Insert("readings", Reading("s", 2)).status());
   EXPECT_EQ(*db_->CountRows("audit"), 2u);
+}
+
+TEST_F(TriggerTest, ActionMayDropItsOwnTrigger) {
+  // Actions run outside the database lock, so a drop can land while one
+  // is running (here from inside it; in production from another thread).
+  // The running action and its captures must stay alive until it returns.
+  std::string seen;
+  TriggerDef def;
+  def.name = "one_shot";
+  def.table = "readings";
+  def.ops = kDmlInsert;
+  const std::string tag = "captured state that lives on the heap";
+  def.action = [this, tag, &seen](const TriggerEvent&) {
+    EDADB_RETURN_IF_ERROR(db_->DropTrigger("one_shot"));
+    seen = tag;
+    return Status::OK();
+  };
+  ASSERT_OK(db_->CreateTrigger(std::move(def)));
+  ASSERT_OK(db_->Insert("readings", Reading("s", 1)).status());
+  EXPECT_EQ(seen, tag);
+  EXPECT_TRUE(db_->ListTriggers().empty());
+  seen.clear();
+  ASSERT_OK(db_->Insert("readings", Reading("s", 2)).status());
+  EXPECT_EQ(seen, "");
 }
 
 TEST_F(TriggerTest, DropTableDropsItsTriggers) {

@@ -42,6 +42,7 @@
 #include "test_util.h"
 #include "testing/crash_harness.h"
 #include "testing/seeded_rng.h"
+#include "testing/require_failpoints.h"
 
 namespace fp = edadb::failpoint;
 using edadb::Database;
@@ -117,7 +118,7 @@ class ShardTortureRig {
   }
 
   /// Simulated process restart: drop everything with no shutdown
-  /// handshake, reopen the primary, and let ShardRouter::Open replay
+  /// handshake, and let ShardRouter::Open reopen the primary and replay
   /// every shard's WAL stream independently.
   void Reopen() {
     propagator_.reset();
@@ -128,10 +129,7 @@ class ShardTortureRig {
     options.wal_sync_policy = sync_policy_;
     options.wal_segment_size_bytes = 4096;  // Small: exercise rolls.
     options.clock = &clock_;
-    auto db = Database::Open(std::move(options));
-    ASSERT_OK(db.status());
-    db_ = *std::move(db);
-    auto router = ShardRouter::Open(db_.get(), kShards);
+    auto router = ShardRouter::Open(options, kShards, &db_);
     ASSERT_OK(router.status());
     router_ = *std::move(router);
     if (!src_.empty()) WireRule();
@@ -385,6 +383,7 @@ int ScheduleCount() {
 // commits (kOnCommit): one shard's WAL dies mid-group-commit, and the
 // handoff dies on both sides of the destination commit.
 TEST(ShardTortureTest, CrashSweepOverHandoffAndGroupCommit) {
+  EDADB_REQUIRE_FAILPOINTS();
   FailpointGuard guard;
   const char* sites[] = {
       "wal.group_commit.leader", "db.commit.before_sync",
@@ -414,6 +413,7 @@ TEST(ShardTortureTest, CrashSweepOverHandoffAndGroupCommit) {
 
 // Randomized schedules across every site (fast path: no real syncs).
 TEST(ShardTortureTest, RandomizedMultiShardCrashSchedules) {
+  EDADB_REQUIRE_FAILPOINTS();
   FailpointGuard guard;
   const int schedules = ScheduleCount();
   Random rng(TestSeed() ^ 0x73686172645F7478ULL);

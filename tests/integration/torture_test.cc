@@ -41,6 +41,7 @@
 #include "testing/seeded_rng.h"
 #include "value/record.h"
 #include "value/schema.h"
+#include "testing/require_failpoints.h"
 
 namespace fp = edadb::failpoint;
 using edadb::Database;
@@ -445,6 +446,7 @@ int ScheduleCount() {
 // Deterministic sweep: kill the database at every site, at the first
 // and at a later hit, with a workload big enough to reach each layer.
 TEST(TortureTest, CrashSweepOverEverySite) {
+  EDADB_REQUIRE_FAILPOINTS();
   FailpointGuard guard;
   std::set<std::string> crashed_sites;
   uint64_t schedule_id = 0;
@@ -479,6 +481,7 @@ TEST(TortureTest, CrashSweepOverEverySite) {
 // The 200+ randomized schedules: site, hit index, torn-write length and
 // workload all drawn from the one seeded stream.
 TEST(TortureTest, RandomizedCrashRecoverySchedules) {
+  EDADB_REQUIRE_FAILPOINTS();
   FailpointGuard guard;
   const int schedules = ScheduleCount();
   Random rng(TestSeed() ^ 0x7062747572655F31ULL);

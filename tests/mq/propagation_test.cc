@@ -4,6 +4,7 @@
 #include "mq/queue_manager.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "testing/require_failpoints.h"
 
 namespace edadb {
 namespace {
@@ -187,6 +188,7 @@ TEST_F(PropagationTest, DedicatedConsumerGroupLeavesDefaultAlone) {
 }
 
 TEST_F(PropagationTest, InjectedExternalFaultNacksWithoutTouchingService) {
+  EDADB_REQUIRE_FAILPOINTS();
   SimulatedExternalService service("gateway", {}, &clock_);
   PropagationRule rule;
   rule.name = "to_gateway";
@@ -216,6 +218,7 @@ TEST_F(PropagationTest, InjectedExternalFaultNacksWithoutTouchingService) {
 }
 
 TEST_F(PropagationTest, InjectedExternalTimeoutUsesTimedOutStatus) {
+  EDADB_REQUIRE_FAILPOINTS();
   SimulatedExternalService service("gateway", {}, &clock_);
   PropagationRule rule;
   rule.name = "to_gateway";

@@ -12,6 +12,7 @@
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "testing/crash_harness.h"
+#include "testing/require_failpoints.h"
 
 namespace edadb {
 namespace {
@@ -94,8 +95,8 @@ TEST_F(QueueBatchTest, DequeueBatchRespectsPriorityOrder) {
   EXPECT_EQ(Drain(10), (std::vector<std::string>{"high", "mid", "low"}));
 }
 
-#ifdef EDADB_FAILPOINTS_ENABLED
 TEST_F(QueueBatchTest, MidBatchErrorRollsBackWholeBatch) {
+  EDADB_REQUIRE_FAILPOINTS();
   ASSERT_OK(queues_->Enqueue("q", Req("survivor")).status());
   {
     // Fail between message 2 and 3: nothing from the batch may land.
@@ -110,7 +111,6 @@ TEST_F(QueueBatchTest, MidBatchErrorRollsBackWholeBatch) {
   ASSERT_OK(queues_->EnqueueBatch("q", {Req("after")}).status());
   EXPECT_EQ(Drain(10), (std::vector<std::string>{"after"}));
 }
-#endif  // EDADB_FAILPOINTS_ENABLED
 
 }  // namespace
 }  // namespace edadb

@@ -15,6 +15,7 @@
 #include "mq/queue_manager.h"
 #include "test_util.h"
 #include "testing/crash_harness.h"
+#include "testing/require_failpoints.h"
 
 namespace fp = edadb::failpoint;
 using edadb::Database;
@@ -36,6 +37,7 @@ namespace {
 class QueueCrashTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    EDADB_REQUIRE_FAILPOINTS();
     Reopen();
     ASSERT_OK(queues_->CreateQueue("q"));
   }

@@ -1,6 +1,7 @@
 #include "mq/shard_router.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,8 +23,7 @@ class ShardRouterTest : public ::testing::Test {
     DatabaseOptions options;
     options.dir = dir_.path();
     options.wal_sync_policy = WalSyncPolicy::kNever;
-    db_ = *Database::Open(std::move(options));
-    router_ = *ShardRouter::Open(db_.get(), shards);
+    router_ = *ShardRouter::Open(options, shards, &db_);
   }
 
   /// A queue name that hashes to `shard` under the current router.
@@ -277,6 +277,81 @@ TEST_F(ShardRouterTest, DispatcherWakeupsAreShardLocal) {
         << "shard " << i << " was woken by another shard's enqueue";
   }
   dispatcher.Stop();
+}
+
+/// Threads of this process right now (one /proc/self/task entry each).
+size_t ThreadCount() {
+  size_t threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+/// Options whose WAL rolls every few records, so shard 1's stream spans
+/// several segments.
+DatabaseOptions SmallSegmentOptions(const std::string& dir) {
+  DatabaseOptions options;
+  options.dir = dir;
+  options.wal_sync_policy = WalSyncPolicy::kNever;
+  options.wal_segment_size_bytes = 4096;
+  return options;
+}
+
+/// Creates a queue on shard 1 holding `messages` messages; returns it.
+std::string FillShardOne(const std::string& dir, int messages) {
+  std::unique_ptr<Database> primary;
+  auto router = *ShardRouter::Open(SmallSegmentOptions(dir), 2, &primary);
+  std::string queue;
+  for (int i = 0; queue.empty(); ++i) {
+    const std::string name = "q" + std::to_string(i);
+    if (router->HashShard(name) == 1) queue = name;
+  }
+  EXPECT_OK(router->CreateQueue(queue));
+  EnqueueRequest request;
+  request.payload = std::string(100, 'p');
+  for (int i = 0; i < messages; ++i) {
+    EXPECT_OK(router->Enqueue(queue, request));
+  }
+  return queue;
+}
+
+TEST(ShardRouterOpenTest, OpensThePrimaryAlongsideTheShards) {
+  TempDir dir;
+  const std::string queue = FillShardOne(dir.path(), 200);
+  std::unique_ptr<Database> primary;
+  auto router = ShardRouter::Open(SmallSegmentOptions(dir.path()), 2,
+                                  &primary);
+  ASSERT_OK(router);
+  ASSERT_NE(primary, nullptr);
+  EXPECT_EQ((*router)->db(), primary.get());
+  EXPECT_EQ((*router)->shard_db(0), primary.get());
+  EXPECT_EQ((*router)->ShardOf(queue), 1u);
+  EXPECT_EQ(*(*router)->Depth(queue, ""), 200u);
+}
+
+TEST(ShardRouterOpenTest, CorruptShardWalFailsOpenAndJoinsEveryThread) {
+  TempDir dir;
+  FillShardOne(dir.path(), 200);
+  // Flip a payload byte in shard 1's oldest segment. A bad record
+  // before the newest segment is corruption, not a torn tail.
+  const std::string seg =
+      dir.path() + "/wal/shard-1/" + WalSegmentName(0);
+  std::string bytes = *ReadFileToString(seg);
+  ASSERT_GT(bytes.size(), kWalHeaderSize + 2);
+  bytes[kWalHeaderSize + 2] ^= 0x5a;
+  ASSERT_OK(WriteStringToFile(seg, bytes, /*sync=*/false));
+  ASSERT_GT(ListDir(dir.path() + "/wal/shard-1")->size(), 1u);
+
+  const size_t threads_before = ThreadCount();
+  std::unique_ptr<Database> primary;
+  auto reopened =
+      ShardRouter::Open(SmallSegmentOptions(dir.path()), 2, &primary);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
+  EXPECT_EQ(primary, nullptr);
+  EXPECT_EQ(ThreadCount(), threads_before);
 }
 
 }  // namespace

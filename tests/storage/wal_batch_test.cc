@@ -106,7 +106,7 @@ TEST(WalBatchTest, RollsSegmentMidBatchAndReadsBack) {
   EXPECT_GT(segments, 2u);
 
   WalCursor cursor(dir.path(), 0);
-  WalEntry entry;
+  WalRecordView entry;
   for (size_t i = 0; i < payloads.size(); ++i) {
     ASSERT_TRUE(*cursor.Next(&entry)) << i;
     EXPECT_EQ(entry.type, 5);
@@ -176,7 +176,7 @@ TEST(WalBatchTest, ConcurrentCommittersAllBecomeDurable) {
   EXPECT_EQ(failures.load(), 0);
 
   WalCursor cursor(dir.path(), 0);
-  WalEntry entry;
+  WalRecordView entry;
   size_t read = 0;
   while (*cursor.Next(&entry)) ++read;
   EXPECT_EQ(read, static_cast<size_t>(kThreads) * kPerThread);

@@ -36,7 +36,7 @@ TEST(WalProperty, ReopenCyclesPreserveEveryRecord) {
       }
     }
     WalCursor cursor(dir.path(), 0);
-    WalEntry entry;
+    WalRecordView entry;
     for (size_t i = 0; i < written.size(); ++i) {
       ASSERT_TRUE(*cursor.Next(&entry))
           << "trial " << trial << " record " << i;
@@ -79,7 +79,7 @@ TEST(WalProperty, RandomTailCutsRecoverLongestValidPrefix) {
     // Cursor sees exactly the surviving prefix, then new appends.
     ASSERT_TRUE(writer->Append(2, "appended after cut").ok());
     WalCursor cursor(dir.path(), 0);
-    WalEntry entry;
+    WalRecordView entry;
     size_t index = 0;
     while (*cursor.Next(&entry)) {
       if (entry.type == 1) {
@@ -108,7 +108,7 @@ TEST(WalProperty, InterleavedWriteAndTailReads) {
   WalCursor cursor(dir.path(), 0);
   size_t written = 0;
   size_t read = 0;
-  WalEntry entry;
+  WalRecordView entry;
   for (int round = 0; round < 200; ++round) {
     const size_t appends = rng.Uniform(5);
     for (size_t i = 0; i < appends; ++i) {

@@ -35,7 +35,7 @@ TEST(WalTest, AppendAndReadBack) {
   EXPECT_EQ(lsn2, kWalHeaderSize + 5);
 
   WalCursor cursor(dir.path(), 0);
-  WalEntry entry;
+  WalRecordView entry;
   ASSERT_TRUE(*cursor.Next(&entry));
   EXPECT_EQ(entry.lsn, lsn1);
   EXPECT_EQ(entry.type, 1);
@@ -53,7 +53,7 @@ TEST(WalTest, EmptyPayloadAndBinaryPayload) {
   const std::string binary("\x00\xff\x00 payload", 12);
   ASSERT_OK(writer->Append(8, binary));
   WalCursor cursor(dir.path(), 0);
-  WalEntry entry;
+  WalRecordView entry;
   ASSERT_TRUE(*cursor.Next(&entry));
   EXPECT_EQ(entry.payload, "");
   ASSERT_TRUE(*cursor.Next(&entry));
@@ -64,7 +64,7 @@ TEST(WalTest, CursorTailsLiveWrites) {
   TempDir dir;
   auto writer = *WalWriter::Open(Opts(dir.path()));
   WalCursor cursor(dir.path(), 0);
-  WalEntry entry;
+  WalRecordView entry;
   EXPECT_FALSE(*cursor.Next(&entry));  // Nothing yet.
   ASSERT_OK(writer->Append(1, "late arrival"));
   ASSERT_TRUE(*cursor.Next(&entry));
@@ -92,7 +92,7 @@ TEST(WalTest, RollsSegmentsAndCursorFollows) {
   EXPECT_GT(segments, 3u);
 
   WalCursor cursor(dir.path(), 0);
-  WalEntry entry;
+  WalRecordView entry;
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(*cursor.Next(&entry)) << i;
     EXPECT_EQ(entry.lsn, lsns[static_cast<size_t>(i)]);
@@ -110,7 +110,7 @@ TEST(WalTest, CursorStartsFromWatermark) {
     if (i == 10) middle = lsn;
   }
   WalCursor cursor(dir.path(), middle);
-  WalEntry entry;
+  WalRecordView entry;
   ASSERT_TRUE(*cursor.Next(&entry));
   EXPECT_EQ(entry.payload, "rec10");
 }
@@ -129,7 +129,7 @@ TEST(WalTest, ReopenContinuesLsnSequence) {
   EXPECT_EQ(lsn, next);
 
   WalCursor cursor(dir.path(), 0);
-  WalEntry entry;
+  WalRecordView entry;
   ASSERT_TRUE(*cursor.Next(&entry));
   EXPECT_EQ(entry.payload, "before reopen");
   ASSERT_TRUE(*cursor.Next(&entry));
@@ -156,7 +156,7 @@ TEST(WalTest, TornTailIsTruncatedOnReopen) {
   ASSERT_OK(writer->Append(1, "replacement"));
 
   WalCursor cursor(dir.path(), 0);
-  WalEntry entry;
+  WalRecordView entry;
   ASSERT_TRUE(*cursor.Next(&entry));
   EXPECT_EQ(entry.payload, "keep me");
   ASSERT_TRUE(*cursor.Next(&entry));
@@ -201,7 +201,7 @@ TEST(WalTest, TruncateBeforeDropsWholeOldSegments) {
   }
   EXPECT_GT(first_surviving, 0u);  // Some prefix was removed.
   WalCursor cursor(dir.path(), first_surviving);
-  WalEntry entry;
+  WalRecordView entry;
   size_t read = 0;
   while (*cursor.Next(&entry)) ++read;
   EXPECT_GT(read, 0u);
@@ -219,7 +219,7 @@ TEST(WalTest, SyncPoliciesWriteIdenticalContent) {
     ASSERT_OK(writer->Append(1, "alpha"));
     ASSERT_OK(writer->Sync());
     WalCursor cursor(dir.path(), 0);
-    WalEntry entry;
+    WalRecordView entry;
     ASSERT_TRUE(*cursor.Next(&entry));
     EXPECT_EQ(entry.payload, "alpha");
   }
@@ -237,7 +237,7 @@ TEST(WalTest, RandomizedAppendReadBack) {
     written.emplace_back(type, std::move(payload));
   }
   WalCursor cursor(dir.path(), 0);
-  WalEntry entry;
+  WalRecordView entry;
   for (size_t i = 0; i < written.size(); ++i) {
     ASSERT_TRUE(*cursor.Next(&entry)) << i;
     EXPECT_EQ(entry.type, written[i].first);
